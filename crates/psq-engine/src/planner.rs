@@ -254,8 +254,11 @@ impl CostModel {
             }
             // The work term is the *class count*, not `N`: the canonical
             // sparse state never holds more than `K + 2` amplitude classes
-            // (target, pinned survivor, and the per-block slices), so the
-            // per-iteration cost is `O(K)` no matter how large the database.
+            // (target, pinned survivor, and the per-block slices).  A clean
+            // stretch of any length costs one `O(#classes)` pass, so a noisy
+            // trajectory really costs `O(#events · K)` plus one draw per
+            // query; charging every query at `K + 2` is an upper bound that
+            // keeps `Auto` on the `O(1)` reduced form for ideal jobs.
             // Ideal feasibility is unconditional — noise-shape ceilings are
             // applied by [`Planner::plan`], which knows the job's spec.
             Backend::Sparse => (

@@ -9,16 +9,19 @@
 //!
 //! The runner is built for Monte-Carlo volume: states materialise inside a
 //! caller-provided [`AmplitudeScratch`] (O(1) allocations across repeated
-//! trials), and **clean stretches of queries run the fused SoA kernels**
+//! trials), each query's events are drawn as the scan reaches it, and
+//! **clean stretches of queries run fused**
 //! ([`StateVector::grover_iterations`] /
-//! [`StateVector::block_grover_iterations`]); only queries that fault or
-//! are followed by a channel event fall back to the unfused single-step
-//! operators. An exactly-ideal spec routes to the untouched ideal runner
-//! ([`PartialSearch::run_statevector_in`]), so `p = 0` is **bit-identical**
-//! to a run that never heard of noise. Oracle-only faults and depolarizing
-//! collapses are real-preserving, so the known-real plane skipping stays
-//! on; a dephasing spec degrades gracefully to two-plane sweeps from the
-//! first kick.
+//! [`StateVector::block_grover_iterations`] on the dense planes, the
+//! closed-form stretches of [`SparseState`] on the sparse classes); only
+//! queries that fault or are followed by a channel event fall back to the
+//! unfused single-step operators. An exactly-ideal spec draws nothing, so
+//! each phase is one fused stretch — the operator sequence of
+//! [`PartialSearch::run_statevector_in`] — and `p = 0` is
+//! **bit-identical** to a run that never heard of noise.
+//! Oracle-only faults and depolarizing collapses are real-preserving, so the
+//! known-real plane skipping stays on; a dephasing spec degrades gracefully
+//! to two-plane sweeps from the first kick.
 //!
 //! Full Grover search under the same fault model is provided for
 //! comparison: partial search is *more* robust per query simply because it
@@ -121,61 +124,154 @@ impl NoiseTally {
     }
 }
 
-/// One noisy phase of `count` iterations: global Grover when `partition`
-/// is `None`, per-block otherwise. Clean stretches run the fused kernels;
-/// a query that faults or is followed by a channel event runs unfused, the
-/// channel events applying after that iteration's diffusion.
-fn run_noisy_phase<R: Rng + ?Sized>(
-    psi: &mut StateVector,
-    db: &Database,
-    partition: Option<&Partition>,
+/// A state the noisy runner can drive: the dense SoA planes or the sparse
+/// value classes.  `per_block` selects the per-block diffusion over the
+/// global one.
+trait NoisyState {
+    /// `count` clean iterations, fused.
+    fn stretch(&mut self, per_block: bool, count: u64);
+    /// One oracle query; a faulty call is made (and charged) but has no
+    /// effect.
+    fn query(&mut self, faulty: bool);
+    /// One unfused diffusion.
+    fn diffuse(&mut self, per_block: bool);
+    /// Step 3's inversion of the non-target amplitudes (one query).
+    fn invert_rest(&mut self);
+    /// One drawn query's channel events.
+    fn apply_channels(&mut self, noise: &QueryNoise);
+}
+
+/// The dense substrate: the planes plus the oracle and partition they run
+/// against (a one-block partition for full search).
+struct Dense<'a> {
+    psi: StateVector,
+    db: &'a Database,
+    partition: &'a Partition,
+}
+
+impl NoisyState for Dense<'_> {
+    fn stretch(&mut self, per_block: bool, count: u64) {
+        match per_block {
+            true => self
+                .psi
+                .block_grover_iterations(self.db, self.partition, count),
+            false => self.psi.grover_iterations(self.db, count),
+        }
+    }
+    fn query(&mut self, faulty: bool) {
+        match faulty {
+            true => self.db.charge_quantum_queries(1),
+            false => self.psi.apply_oracle_phase_flip(self.db),
+        }
+    }
+    fn diffuse(&mut self, per_block: bool) {
+        match per_block {
+            true => self.psi.invert_about_mean_per_block(self.partition),
+            false => self.psi.invert_about_mean(),
+        }
+    }
+    fn invert_rest(&mut self) {
+        self.psi.invert_about_mean_excluding_target(self.db);
+    }
+    fn apply_channels(&mut self, noise: &QueryNoise) {
+        apply_channels(&mut self.psi, noise);
+    }
+}
+
+impl NoisyState for SparseState {
+    fn stretch(&mut self, per_block: bool, count: u64) {
+        match per_block {
+            true => self.block_grover_iterations(count),
+            false => self.grover_iterations(count),
+        }
+    }
+    fn query(&mut self, faulty: bool) {
+        match faulty {
+            true => self.charge_queries(1),
+            false => self.oracle_flip(),
+        }
+    }
+    fn diffuse(&mut self, per_block: bool) {
+        match per_block {
+            true => self.invert_about_mean_per_block(),
+            false => self.invert_about_mean(),
+        }
+    }
+    fn invert_rest(&mut self) {
+        self.invert_about_mean_excluding_target();
+    }
+    fn apply_channels(&mut self, noise: &QueryNoise) {
+        SparseState::apply_channels(self, noise);
+    }
+}
+
+/// One noisy phase of `count` iterations on any substrate.  Each query's
+/// events are drawn as the scan reaches it (the fixed draw order documented
+/// in `psq_sim::noise`); clean queries accumulate into a run that is
+/// advanced in one fused stretch when the next event arrives.  A query that
+/// faults or is followed by a channel event runs unfused, the channel
+/// events applying after that iteration's diffusion.
+fn run_noisy_phase<S: NoisyState, R: Rng + ?Sized>(
+    psi: &mut S,
+    per_block: bool,
     count: u64,
+    n: u64,
     spec: &NoiseSpec,
     rng: &mut R,
     tally: &mut NoiseTally,
 ) {
-    let n = db.size();
-    // Pre-draw the phase's per-query events (fixed draw order, documented
-    // in `psq_sim::noise`) so clean stretches are visible ahead of time.
-    let events: Vec<QueryNoise> = (0..count).map(|_| spec.draw_query(n, rng)).collect();
-    let mut i = 0usize;
-    while i < events.len() {
-        let start = i;
-        while i < events.len() && events[i].is_clean() {
-            i += 1;
+    let mut clean = 0u64;
+    for _ in 0..count {
+        let event = spec.draw_query(n, rng);
+        if event.is_clean() {
+            clean += 1;
+            continue;
         }
-        let fused = (i - start) as u64;
-        if fused > 0 {
-            match partition {
-                None => psi.grover_iterations(db, fused),
-                Some(p) => psi.block_grover_iterations(db, p, fused),
-            }
-        }
-        if let Some(event) = events.get(i) {
-            tally.record(event);
-            if event.faulty {
-                // The call is made (and charged) but has no effect.
-                db.charge_quantum_queries(1);
-            } else {
-                psi.apply_oracle_phase_flip(db);
-            }
-            match partition {
-                None => psi.invert_about_mean(),
-                Some(p) => psi.invert_about_mean_per_block(p),
-            }
-            apply_channels(psi, event);
-            i += 1;
-        }
+        psi.stretch(per_block, clean);
+        clean = 0;
+        tally.record(&event);
+        psi.query(event.faulty);
+        psi.diffuse(per_block);
+        psi.apply_channels(&event);
     }
+    psi.stretch(per_block, clean);
+}
+
+/// The three-step schedule of `plan` under `spec` on any substrate of
+/// dimension `n`: noisy global then per-block amplification, then Step 3's
+/// marking operation.  A failed marking reflects the target amplitude too
+/// (the ancilla was never flipped), i.e. a plain global inversion about the
+/// mean.
+fn run_noisy_schedule<S: NoisyState, R: Rng + ?Sized>(
+    psi: &mut S,
+    n: u64,
+    plan: &SearchPlan,
+    spec: &NoiseSpec,
+    rng: &mut R,
+) -> NoiseTally {
+    let mut tally = NoiseTally::default();
+    run_noisy_phase(psi, false, plan.l1, n, spec, rng, &mut tally);
+    run_noisy_phase(psi, true, plan.l2, n, spec, rng, &mut tally);
+    let step3 = spec.draw_query(n, rng);
+    tally.record(&step3);
+    if step3.faulty {
+        psi.query(true);
+        psi.diffuse(false);
+    } else {
+        psi.invert_rest();
+    }
+    psi.apply_channels(&step3);
+    tally
 }
 
 /// Runs the three-step partial-search algorithm under `spec`, drawing all
 /// noise randomness (and the final block-measurement sample) from `rng`
 /// and materialising the state inside `scratch`.
 ///
-/// An exactly-ideal spec takes the untouched ideal fused path, so its
-/// result is bit-identical to [`PartialSearch::run_statevector_in`] on the
-/// same RNG stream.
+/// An exactly-ideal spec draws nothing and leaves every query clean, so
+/// the run is the operator sequence of [`PartialSearch::run_statevector_in`]
+/// (one fused stretch per phase, then Step 3) and its result is
+/// bit-identical on the same RNG stream.
 pub fn partial_search_noisy_in<R: Rng + ?Sized>(
     db: &Database,
     partition: &Partition,
@@ -186,49 +282,16 @@ pub fn partial_search_noisy_in<R: Rng + ?Sized>(
 ) -> NoisyRun {
     spec.validate().expect("noise rates must be probabilities");
     assert_eq!(db.size(), partition.size(), "database/partition mismatch");
-    if spec.is_ideal() {
-        let run = search.run_statevector_in(db, partition, rng, scratch);
-        return NoisyRun {
-            plan: run.plan,
-            queries: run.outcome.queries,
-            faults: 0,
-            depolarize_events: 0,
-            dephase_events: 0,
-            success_probability: run.success_probability,
-            reported_block: run.outcome.reported_block,
-            true_block: run.outcome.true_block,
-        };
-    }
     let n = db.size();
     let plan = search.plan(n as f64, partition.blocks() as f64);
     let span = db.counter().span();
-    let mut tally = NoiseTally::default();
-
-    let mut psi = StateVector::uniform_in(n as usize, scratch);
-    // Steps 1 and 2: noisy global then per-block amplification.
-    run_noisy_phase(&mut psi, db, None, plan.l1, &spec, rng, &mut tally);
-    run_noisy_phase(
-        &mut psi,
+    let mut dense = Dense {
+        psi: StateVector::uniform_in(n as usize, scratch),
         db,
-        Some(partition),
-        plan.l2,
-        &spec,
-        rng,
-        &mut tally,
-    );
-    // Step 3's marking operation: if it fails, the reflection hits the
-    // target amplitude too (the ancilla was never flipped), i.e. a plain
-    // global inversion about the mean.
-    let step3 = spec.draw_query(n, rng);
-    tally.record(&step3);
-    if step3.faulty {
-        db.charge_quantum_queries(1);
-        psi.invert_about_mean();
-    } else {
-        psi.invert_about_mean_excluding_target(db);
-    }
-    apply_channels(&mut psi, &step3);
-
+        partition,
+    };
+    let tally = run_noisy_schedule(&mut dense, n, &plan, &spec, rng);
+    let psi = dense.psi;
     let true_block = partition.block_of(db.target());
     let success_probability = psi.block_probability(partition, true_block);
     let reported_block = measure::sample_block(&psi, partition, rng);
@@ -245,67 +308,17 @@ pub fn partial_search_noisy_in<R: Rng + ?Sized>(
     }
 }
 
-/// One noisy phase on the sparse simulator: the exact mirror of
-/// [`run_noisy_phase`], consuming the identical randomness in the identical
-/// order (pre-drawn per-query events, fused clean stretches, unfused event
-/// queries).  On the symmetric rung the fused stretches delegate to the
-/// reduced closed forms, so an oracle-fault-only trajectory costs `O(1)`
-/// arithmetic per stretch even at `N = 2^34`.
-fn run_noisy_phase_sparse<R: Rng + ?Sized>(
-    psi: &mut SparseState,
-    per_block: bool,
-    count: u64,
-    spec: &NoiseSpec,
-    rng: &mut R,
-    tally: &mut NoiseTally,
-) {
-    let n = psi.n();
-    let events: Vec<QueryNoise> = (0..count).map(|_| spec.draw_query(n, rng)).collect();
-    let mut i = 0usize;
-    while i < events.len() {
-        let start = i;
-        while i < events.len() && events[i].is_clean() {
-            i += 1;
-        }
-        let fused = (i - start) as u64;
-        if fused > 0 {
-            if per_block {
-                psi.block_grover_iterations(fused);
-            } else {
-                psi.grover_iterations(fused);
-            }
-        }
-        if let Some(event) = events.get(i) {
-            tally.record(event);
-            if event.faulty {
-                // The call is made (and charged) but has no effect.
-                psi.charge_queries(1);
-            } else {
-                psi.oracle_flip();
-            }
-            if per_block {
-                psi.invert_about_mean_per_block();
-            } else {
-                psi.invert_about_mean();
-            }
-            psi.apply_channels(event);
-            i += 1;
-        }
-    }
-}
-
 /// Runs the three-step partial-search algorithm under `spec` on the sparse
 /// value-class simulator, drawing all noise randomness (and the final
 /// block-measurement sample) from `rng`.
 ///
-/// The structure, query accounting, and randomness consumption mirror
-/// [`partial_search_noisy_in`] exactly: the same pre-drawn event sequence,
-/// the same fused/unfused split, the same Step-3 fault semantics, and one
-/// final `f64` draw for the block sample.  For a fixed `(spec, seed)` the
-/// two runners therefore see identical noise trajectories, which is what
-/// the cross-backend differential harness pins.  An ideal spec needs no
-/// special-casing here: every query is clean, so the whole phase is one
-/// fused closed-form stretch — the same arithmetic as
+/// One schedule runner drives both substrates, so for a fixed
+/// `(spec, seed)` this and [`partial_search_noisy_in`] see the identical
+/// noise trajectory: the same draws in the same order, the same
+/// fused/unfused split, the same Step-3 fault semantics and one final `f64`
+/// draw for the block sample — which the cross-backend differential harness
+/// pins.  An ideal spec needs no special-casing: every query is clean, so
+/// each phase is one closed-form stretch, the same arithmetic as
 /// [`PartialSearch::run_sparse`].
 pub fn partial_search_noisy_sparse<R: Rng + ?Sized>(
     n: u64,
@@ -317,23 +330,8 @@ pub fn partial_search_noisy_sparse<R: Rng + ?Sized>(
 ) -> SparseNoisyRun {
     spec.validate().expect("noise rates must be probabilities");
     let plan = search.plan(n as f64, k as f64);
-    let mut tally = NoiseTally::default();
     let mut psi = SparseState::uniform(n, k, target);
-
-    // Steps 1 and 2: noisy global then per-block amplification.
-    run_noisy_phase_sparse(&mut psi, false, plan.l1, &spec, rng, &mut tally);
-    run_noisy_phase_sparse(&mut psi, true, plan.l2, &spec, rng, &mut tally);
-    // Step 3's marking operation: a failed marking reflects the target
-    // amplitude too — a plain global inversion about the mean.
-    let step3 = spec.draw_query(n, rng);
-    tally.record(&step3);
-    if step3.faulty {
-        psi.charge_queries(1);
-        psi.invert_about_mean();
-    } else {
-        psi.invert_about_mean_excluding_target();
-    }
-    psi.apply_channels(&step3);
+    let tally = run_noisy_schedule(&mut psi, n, &plan, &spec, rng);
 
     let true_block = psi.target_block();
     let success_probability = psi.block_probability(true_block);
@@ -409,16 +407,20 @@ pub fn full_search_with_faulty_oracle<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> f64 {
     assert!((0.0..=1.0).contains(&fault_probability));
+    // A zero rate draws nothing and leaves every query clean: the whole run
+    // is one fused stretch, as in the ideal kernel.
     let spec = NoiseSpec::oracle_only(fault_probability);
-    let iters = psq_math::angle::optimal_grover_iterations(db.size() as f64);
-    let mut psi = StateVector::uniform(db.size() as usize);
-    if spec.is_ideal() {
-        psi.grover_iterations(db, iters);
-        return psi.probability(db.target() as usize);
-    }
+    let n = db.size();
+    let iters = psq_math::angle::optimal_grover_iterations(n as f64);
+    let partition = Partition::new(n, 1);
+    let mut dense = Dense {
+        psi: StateVector::uniform(n as usize),
+        db,
+        partition: &partition,
+    };
     let mut tally = NoiseTally::default();
-    run_noisy_phase(&mut psi, db, None, iters, &spec, rng, &mut tally);
-    psi.probability(db.target() as usize)
+    run_noisy_phase(&mut dense, false, iters, n, &spec, rng, &mut tally);
+    dense.psi.probability(db.target() as usize)
 }
 
 /// Average success probability of faulty-oracle partial search over
@@ -703,6 +705,86 @@ mod tests {
         assert!(!run.degraded);
         assert_eq!(run.queries, run.plan.total_queries);
         assert!(run.success_probability > 0.0 && run.success_probability <= 1.0 + 1e-12);
+    }
+
+    /// The sparse state with every fused stretch replaced by single
+    /// iterations: the reference the closed-form stretches must reproduce.
+    struct Stepped(SparseState);
+
+    impl NoisyState for Stepped {
+        fn stretch(&mut self, per_block: bool, count: u64) {
+            for _ in 0..count {
+                match per_block {
+                    true => self.0.block_grover_iteration(),
+                    false => self.0.grover_iteration(),
+                }
+            }
+        }
+        fn query(&mut self, faulty: bool) {
+            self.0.query(faulty);
+        }
+        fn diffuse(&mut self, per_block: bool) {
+            self.0.diffuse(per_block);
+        }
+        fn invert_rest(&mut self) {
+            self.0.invert_rest();
+        }
+        fn apply_channels(&mut self, noise: &QueryNoise) {
+            SparseState::apply_channels(&mut self.0, noise);
+        }
+    }
+
+    #[test]
+    fn closed_form_sparse_stretches_match_single_steps_at_huge_n() {
+        // At a low collapse rate some trajectories keep long post-collapse
+        // stretches in both phases; at the served rate every phase has
+        // dozens of events.
+        let n = 1u64 << 30;
+        let search = PartialSearch::new();
+        for depolarizing in [0.0002, 0.002] {
+            let spec = NoiseSpec {
+                depolarizing,
+                oracle_fault: 0.001,
+                ..NoiseSpec::ideal()
+            };
+            for k in [2u64, 8, 32] {
+                for seed in 0..3u64 {
+                    let case = format!("p {depolarizing} k {k} seed {seed}");
+                    let target = (seed * 357_913_941 + 12_345) % n;
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let fused = partial_search_noisy_sparse(n, k, target, &search, spec, &mut rng);
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let mut fused_state = SparseState::uniform(n, k, target);
+                    let plan = search.plan(n as f64, k as f64);
+                    run_noisy_schedule(&mut fused_state, n, &plan, &spec, &mut rng);
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let mut stepped = Stepped(SparseState::uniform(n, k, target));
+                    let tally = run_noisy_schedule(&mut stepped, n, &plan, &spec, &mut rng);
+                    let psi = &stepped.0;
+                    assert_eq!(fused.depolarize_events, tally.depolarize, "{case}");
+                    assert_eq!(fused.queries, psi.queries(), "{case}");
+                    assert_eq!(fused.reported_block, psi.sample_block(&mut rng), "{case}");
+                    let success = psi.block_probability(psi.target_block());
+                    assert!(
+                        (fused.success_probability - success).abs() <= 1e-12,
+                        "{case}: {} vs {success}",
+                        fused.success_probability
+                    );
+                    for block in 0..k {
+                        let (a, b) = (
+                            fused_state.block_probability(block),
+                            psi.block_probability(block),
+                        );
+                        assert!((a - b).abs() <= 1e-12, "{case} block {block}: {a} vs {b}");
+                    }
+                    let (a, b) = (fused_state.amplitude(target), psi.amplitude(target));
+                    assert!(
+                        (a - b).norm_sqr().sqrt() <= 1e-12,
+                        "{case}: target {a:?} vs {b:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -90,19 +90,24 @@ impl JobTicket {
     }
 
     /// Answers with a completed result (the engine-internal id is replaced
-    /// by the client's) and releases the admission slot.
+    /// by the client's) and releases the admission slot.  The accounting is
+    /// settled before the line is published, so a client that has read its
+    /// answer never observes the job as still in flight.
     fn serve_result(&mut self, mut result: psq_engine::SearchResult) {
         result.job_id = self.job.id;
-        self.session
-            .send(Response::Result(Box::new(result)).to_line());
         self.session.complete();
         self.stats
             .record_completed(self.enqueued.elapsed().as_secs_f64() * 1e6);
+        self.session
+            .send(Response::Result(Box::new(result)).to_line());
         self.answered = true;
     }
 
-    /// Answers with an error of `kind` and releases the admission slot.
+    /// Answers with an error of `kind` and releases the admission slot,
+    /// settling the accounting first (as [`JobTicket::serve_result`]).
     fn serve_error(&mut self, kind: ErrorKind, reason: String) {
+        self.session.fail();
+        self.stats.record_admitted_error();
         self.session.send(
             Response::Error {
                 id: Some(self.job.id),
@@ -111,8 +116,6 @@ impl JobTicket {
             }
             .to_line(),
         );
-        self.session.fail();
-        self.stats.record_admitted_error();
         self.answered = true;
     }
 }

@@ -785,6 +785,42 @@ mod tests {
     }
 
     #[test]
+    fn every_answered_job_is_counted_before_its_answer_is_read() {
+        // Accounting is settled before the answer is published, so a
+        // metrics request sent after reading an answer counts that job —
+        // on every round, not most.  Batches of one skip the dwell.
+        let server = Server::start(ServeConfig {
+            coalescer: CoalescerConfig {
+                max_batch: 1,
+                ..CoalescerConfig::default()
+            },
+            ..tiny_config()
+        });
+        let (client, responses) = server.attach();
+        for round in 1..=200u64 {
+            let job = SearchJob::new(round, 1 << 10, 4, round % (1 << 10));
+            client.submit_line(&serde_json::to_string(&job).expect("serialises"));
+            let answer = responses.recv().expect("job answered");
+            assert!(matches!(
+                parse_response(&answer).expect("well-formed"),
+                Response::Result(_)
+            ));
+            client.submit_line("{\"cmd\":\"metrics\"}");
+            let line = responses.recv().expect("metrics answered");
+            match parse_response(&line).expect("well-formed") {
+                Response::Metrics(metrics) => {
+                    assert_eq!(metrics.jobs_completed, round, "round {round}");
+                    assert_eq!(metrics.queue_depth, 0, "round {round}");
+                    assert_eq!(metrics.clients[0].completed, round, "round {round}");
+                }
+                other => panic!("expected metrics, got {other:?}"),
+            }
+        }
+        drop(client);
+        server.finish();
+    }
+
+    #[test]
     fn pipe_session_runs_eof_to_clean_drain_and_server_survives() {
         let server = Server::start(tiny_config());
         for round in 0..2u64 {

@@ -40,9 +40,11 @@ use serde::Serialize;
 
 /// Per-query noise rates (all probabilities in `[0, 1]`).
 ///
-/// The all-zero spec is **ideal**: callers are expected to route it to the
-/// untouched ideal fast path (see [`NoiseSpec::is_ideal`]), which keeps the
-/// "p = 0 is bit-identical to no noise at all" contract trivially true.
+/// The all-zero spec is **ideal**: callers either route it to the untouched
+/// ideal fast path (see [`NoiseSpec::is_ideal`]) or rely on a zero rate
+/// drawing nothing, so every query is clean and fuses into the ideal
+/// operator sequence. Either way "p = 0 is bit-identical to no noise at
+/// all" holds.
 ///
 /// `Deserialize` is hand-written: an omitted or `null` rate means `0.0`
 /// (the vendored derive would demand every key, making

@@ -40,6 +40,31 @@
 //! a collapse onto the target, returns all the way to `Symmetric`), so the
 //! ladder is climbed back up as structure reappears.
 //!
+//! # Closed-form stretches
+//!
+//! A run of `m` clean iterations does not step on the first two rungs.  The
+//! symmetric rung delegates to the reduced closed forms.  On the class rung
+//! both iteration types rotate one plane and flip a sign on everything
+//! orthogonal to it:
+//!
+//! * `G` (oracle flip, then global inversion) rotates
+//!   span{`e_t`, uniform over the non-target addresses} by `2θ`, with
+//!   `sin θ = 1/√N`.  A vector orthogonal to that plane has zero target
+//!   amplitude and zero sum, so it is a `−1` eigenvector.
+//! * `B` (oracle flip, then per-block inversion) rotates
+//!   span{`e_t`, uniform over the target block minus `t`} by `2θ_b`, with
+//!   `sin θ_b = 1/√(N/K)`.  Every other block's uniform vector is a `+1`
+//!   eigenvector and every within-block remainder a `−1` eigenvector.
+//!
+//! So `m` iterations are one pass of population-weighted sums (global, or
+//! per block), one `sin_cos(2mθ)` rotating the (target, rest-mean) pair,
+//! and `new = mean' + (−1)^m·(value − mean)` for every class and the pinned
+//! survivor: `O(#classes)` per stretch whatever `m`, dephasing-split classes
+//! included.  This is the rotation picture of Loo, "More On Grover's
+//! Algorithm" (quant-ph/0502137).  The basis-map rung, and per-block
+//! stretches over single-address blocks (`N/K < 2`, no in-block rest),
+//! step one iteration at a time.
+//!
 //! # Determinism contract
 //!
 //! Identical to the dense kernels: evolution is a pure function of the
@@ -89,6 +114,92 @@ struct ClassState {
     target_value: Complex64,
     singled: Option<Pinned>,
     classes: Vec<SliceClass>,
+}
+
+/// Rotates the Grover plane of a domain of `size` addresses, one of them
+/// marked, through `iters` iterations: the pair `(a, √(size − 1)·mean)` —
+/// the marked amplitude and the norm of the uniform component over the
+/// other `size − 1` — turns by `2·iters·θ` with `sin θ = 1/√size`.  Returns
+/// the new `(a, mean)`.  The coefficients are real, so they act on the real
+/// and imaginary parts of complex (dephased) values alike.
+fn rotate_plane(a: Complex64, mean: Complex64, size: f64, iters: u64) -> (Complex64, Complex64) {
+    let (sin, cos) = (2.0 * iters as f64 * psq_math::angle::grover_angle(size)).sin_cos();
+    let root = (size - 1.0).sqrt();
+    (
+        a.scale(cos) + mean.scale(sin * root),
+        mean.scale(cos) - a.scale(sin / root),
+    )
+}
+
+impl ClassState {
+    /// `iters` global Grover iterations `G = D·O` in one pass.
+    ///
+    /// `G` rotates the plane spanned by the target and the uniform vector
+    /// over the `n − 1` other addresses (see [`rotate_plane`]); every vector
+    /// orthogonal to that plane has zero target amplitude and zero sum, so
+    /// the oracle fixes it and the inversion negates it.  Each non-target
+    /// value therefore splits into the plane part (the mean) and a
+    /// remainder that is multiplied by `(−1)^iters`.
+    fn grover_stretch(&mut self, n: u64, iters: u64) {
+        let mut rest = Complex64::ZERO;
+        for c in &self.classes {
+            rest += c.value.scale(c.pop as f64);
+        }
+        if let Some(p) = &self.singled {
+            rest += p.value;
+        }
+        let mean = rest.scale(1.0 / (n - 1) as f64);
+        let (target, mean_after) = rotate_plane(self.target_value, mean, n as f64, iters);
+        let sign = if iters.is_multiple_of(2) { 1.0 } else { -1.0 };
+        let advance = |v: Complex64| mean_after + (v - mean).scale(sign);
+        for c in &mut self.classes {
+            c.value = advance(c.value);
+        }
+        if let Some(p) = &mut self.singled {
+            p.value = advance(p.value);
+        }
+        self.target_value = target;
+    }
+
+    /// `iters` per-block Grover iterations `B = D_blocks·O` in one pass
+    /// (`bsize ≥ 2`).
+    ///
+    /// Inside the target block `B` is Grover on `bsize` addresses, handled
+    /// as in [`ClassState::grover_stretch`].  Every other block is untouched
+    /// by the oracle, so `B` acts there as the block's own inversion, an
+    /// involution: the identity after an even count, one inversion after an
+    /// odd one.
+    fn block_grover_stretch(&mut self, k: u64, bsize: u64, target_block: u64, iters: u64) {
+        // Per-block sums of the non-target amplitudes, in the fixed order
+        // (classes, then survivor).
+        let mut sums = vec![Complex64::ZERO; k as usize];
+        for c in &self.classes {
+            sums[c.block as usize] += c.value.scale(c.pop as f64);
+        }
+        if let Some(p) = &self.singled {
+            sums[(p.addr / bsize) as usize] += p.value;
+        }
+        let mean = sums[target_block as usize].scale(1.0 / (bsize - 1) as f64);
+        let (target, mean_after) = rotate_plane(self.target_value, mean, bsize as f64, iters);
+        let odd = !iters.is_multiple_of(2);
+        let sign = if odd { -1.0 } else { 1.0 };
+        let advance = |block: u64, v: Complex64| {
+            if block == target_block {
+                mean_after + (v - mean).scale(sign)
+            } else if odd {
+                sums[block as usize].scale(2.0 / bsize as f64) - v
+            } else {
+                v
+            }
+        };
+        for c in &mut self.classes {
+            c.value = advance(c.block, c.value);
+        }
+        if let Some(p) = &mut self.singled {
+            p.value = advance(p.addr / bsize, p.value);
+        }
+        self.target_value = target;
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -411,33 +522,45 @@ impl SparseState {
     pub fn invert_about_mean_per_block(&mut self) {
         let bsize = self.bsize;
         let bsize_f = bsize as f64;
-        let target = self.target;
         match &mut self.repr {
             Repr::Symmetric(r) => r.block_diffusion(),
             Repr::Classes(cs) => {
-                // Per-block sums, accumulated in the fixed order (classes,
-                // then target, then survivor).  Keyed storage is fine: each
-                // key's accumulation order follows the iteration below.
-                let mut sums: BTreeMap<u64, Complex64> = BTreeMap::new();
-                for c in &cs.classes {
-                    *sums.entry(c.block).or_insert(Complex64::ZERO) += c.value.scale(c.pop as f64);
-                }
-                *sums.entry(target / bsize).or_insert(Complex64::ZERO) += cs.target_value;
-                if let Some(p) = &cs.singled {
-                    *sums.entry(p.addr / bsize).or_insert(Complex64::ZERO) += p.value;
-                }
-                let twice_of = |block: u64| {
-                    sums.get(&block)
-                        .copied()
-                        .unwrap_or(Complex64::ZERO)
-                        .scale(2.0 / bsize_f)
+                // Each block's classes are contiguous (the list is kept in
+                // `(block, mask, bits)` order), so a block's sum is a running
+                // sum over its group, then the target, then the survivor —
+                // the fixed order.  A block holding only pinned addresses
+                // has an empty group.
+                let (target_block, target_value, singled) =
+                    (self.target_block, cs.target_value, cs.singled);
+                let twice_of = |group: &[SliceClass], block: u64| {
+                    let mut sum = group
+                        .iter()
+                        .fold(Complex64::ZERO, |sum, c| sum + c.value.scale(c.pop as f64));
+                    if block == target_block {
+                        sum += target_value;
+                    }
+                    if let Some(p) = singled.filter(|p| p.addr / bsize == block) {
+                        sum += p.value;
+                    }
+                    sum.scale(2.0 / bsize_f)
                 };
-                for c in &mut cs.classes {
-                    c.value = twice_of(c.block) - c.value;
+                let classes = &cs.classes;
+                let group_of = |block: u64| {
+                    let lo = classes.partition_point(|c| c.block < block);
+                    let hi = classes.partition_point(|c| c.block <= block);
+                    &classes[lo..hi]
+                };
+                let target_twice = twice_of(group_of(target_block), target_block);
+                let pin_twice = singled.map(|p| twice_of(group_of(p.addr / bsize), p.addr / bsize));
+                for group in cs.classes.chunk_by_mut(|a, b| a.block == b.block) {
+                    let twice = twice_of(group, group[0].block);
+                    for c in group {
+                        c.value = twice - c.value;
+                    }
                 }
-                cs.target_value = twice_of(target / bsize) - cs.target_value;
-                if let Some(p) = &mut cs.singled {
-                    p.value = twice_of(p.addr / bsize) - p.value;
+                cs.target_value = target_twice - target_value;
+                if let (Some(p), Some(twice)) = (&mut cs.singled, pin_twice) {
+                    p.value = twice - p.value;
                 }
             }
             Repr::Map(map) => {
@@ -490,21 +613,28 @@ impl SparseState {
         self.invert_about_mean();
     }
 
-    /// `iters` standard Grover iterations.  On the symmetric rung this
-    /// delegates to [`ReducedState::grover_iterations`], so a bulk run is
-    /// the identical closed-form `O(1)` arithmetic; otherwise it steps.
+    /// `iters` standard Grover iterations, charging `iters` queries.
+    ///
+    /// Closed form on the first two rungs: the symmetric rung delegates to
+    /// [`ReducedState::grover_iterations`] (the identical `O(1)` arithmetic
+    /// as the reduced backend), and the class rung advances the whole
+    /// stretch in one `O(#classes)` pass (module docs: "Closed-form
+    /// stretches").  The basis-map rung steps.
     pub fn grover_iterations(&mut self, iters: u64) {
         if iters == 0 {
             return;
         }
-        if let Repr::Symmetric(r) = &mut self.repr {
-            r.grover_iterations(iters);
-            self.queries += iters;
-            return;
+        match &mut self.repr {
+            Repr::Symmetric(r) => r.grover_iterations(iters),
+            Repr::Classes(cs) => cs.grover_stretch(self.n, iters),
+            Repr::Map(_) => {
+                for _ in 0..iters {
+                    self.grover_iteration();
+                }
+                return;
+            }
         }
-        for _ in 0..iters {
-            self.grover_iteration();
-        }
+        self.queries += iters;
     }
 
     /// One per-block Grover iteration (oracle flip, then per-block
@@ -514,20 +644,27 @@ impl SparseState {
         self.invert_about_mean_per_block();
     }
 
-    /// `iters` per-block Grover iterations (closed form on the symmetric
-    /// rung, stepping otherwise).
+    /// `iters` per-block Grover iterations, charging `iters` queries:
+    /// closed form on the symmetric rung and, for blocks of at least two
+    /// addresses, in one `O(#classes)` pass on the class rung (module docs:
+    /// "Closed-form stretches"); stepping otherwise.
     pub fn block_grover_iterations(&mut self, iters: u64) {
         if iters == 0 {
             return;
         }
-        if let Repr::Symmetric(r) = &mut self.repr {
-            r.block_grover_iterations(iters);
-            self.queries += iters;
-            return;
+        match &mut self.repr {
+            Repr::Symmetric(r) => r.block_grover_iterations(iters),
+            Repr::Classes(cs) if self.bsize >= 2 => {
+                cs.block_grover_stretch(self.k, self.bsize, self.target_block, iters)
+            }
+            _ => {
+                for _ in 0..iters {
+                    self.block_grover_iteration();
+                }
+                return;
+            }
         }
-        for _ in 0..iters {
-            self.block_grover_iteration();
-        }
+        self.queries += iters;
     }
 
     // ------------------------------------------------------------------
