@@ -1,9 +1,12 @@
 //! `record_bench` — machine-readable engine-throughput trajectory.
 //!
-//! Runs the `engine_throughput` scenarios (the same batches the Criterion
-//! bench drives) with plain wall-clock timing and writes a JSON data point
-//! to `BENCH_engine.json` at the repo root, so successive PRs accumulate a
-//! comparable before/after record without Criterion's report machinery.
+//! Runs the `engine_throughput` scenarios — uniform and mixed engine
+//! batches, the warm result cache, sweeps, and serve/router round trips —
+//! with plain wall-clock timing and writes a JSON data point to
+//! `BENCH_engine.json` at the repo root, so successive changes accumulate a
+//! comparable before/after record. It is the workspace's one in-repo timing
+//! harness; `perfbench/` is the end-to-end benchmark of the shipped
+//! binaries.
 //!
 //! ```text
 //! cargo run -p psq-bench --bin record_bench --release -- \
@@ -19,12 +22,12 @@
 //! than `--max-drop` (default 0.30) below its baseline figure — the
 //! bench-regression smoke gate.
 //!
-//! Scenario semantics match the Criterion bench: one engine per scenario,
-//! reused across timed iterations, so the planner's schedule cache is warm
-//! after the first iteration (that is the steady state of a persistent
-//! serving process). The result cache is **disabled** for every `cold_*`
-//! scenario — each iteration honestly executes every job — and enabled only
-//! for the `warm_result_cache` scenario, which measures the hit path.
+//! Scenario semantics: one engine per scenario, reused across timed
+//! iterations, so the planner's schedule cache is warm after the first
+//! iteration (that is the steady state of a persistent serving process).
+//! The result cache is **disabled** for every `cold_*` scenario — each
+//! iteration honestly executes every job — and enabled only for the
+//! `warm_result_cache` scenario, which measures the hit path.
 
 use psq_engine::{generate_mixed_batch, BackendHint, Engine, EngineConfig, SearchJob, SweepSpec};
 use serde::{Deserialize, Serialize};
@@ -71,7 +74,7 @@ struct BenchRecord {
 }
 
 /// A uniform batch: every job on the same backend at a size that backend is
-/// comfortable with (mirrors the Criterion bench's generator).
+/// comfortable with.
 fn uniform_batch(hint: BackendHint, count: u64) -> Vec<SearchJob> {
     (0..count)
         .map(|id| {

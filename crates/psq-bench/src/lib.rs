@@ -1,10 +1,12 @@
-//! Shared plumbing for the experiment binaries and Criterion benches.
+//! Shared plumbing for the experiment binaries.
 //!
 //! Every table and figure of the paper has a binary under `src/bin/` that
-//! regenerates it (see `DESIGN.md` for the full index).  Those binaries share
-//! the small reporting toolkit in this crate: an aligned text [`Table`] for
-//! stdout, a serialisable [`ExperimentRecord`] for the machine-readable
-//! `EXPERIMENTS.md` companion data, and a couple of formatting helpers.
+//! regenerates it (`report` dumps every headline number as one JSON
+//! array). Those binaries share the small reporting toolkit in this crate:
+//! an aligned text [`Table`] for stdout, a serialisable [`ExperimentRecord`]
+//! for machine-readable output, and a couple of formatting helpers. The
+//! one timing harness, `record_bench`, lives beside them and writes
+//! `BENCH_engine.json`.
 
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;

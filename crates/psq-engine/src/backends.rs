@@ -42,10 +42,11 @@ pub fn execute(job: &SearchJob, plan: &ExecutionPlan) -> SearchResult {
         Backend::Recursive => run_recursive(job, plan),
         // Same noise split as the state-vector arm: non-ideal specs run the
         // per-query sparse trajectories, an explicit all-zero spec is the
-        // ideal closed-form evolution.
+        // ideal closed-form evolution — which never leaves the symmetric
+        // rung, so it is the reduced runner under the sparse tag.
         Backend::Sparse => match job.effective_noise() {
             Some(spec) => run_sparse_noisy(job, plan, spec),
-            None => run_sparse(job, plan, &mut rng),
+            None => run_reduced(job, plan, &mut rng),
         },
     }
 }
@@ -195,6 +196,12 @@ fn run_recursive(job: &SearchJob, plan: &ExecutionPlan) -> SearchResult {
     }
 }
 
+/// The block-symmetric runner behind both [`Backend::Reduced`] and ideal
+/// [`Backend::Sparse`]: the sparse class dynamics never leave the
+/// three-amplitude symmetric representation when ideal, so both backends
+/// compute the same bits ([`PartialSearch::run_sparse`] is pinned
+/// bit-identical to [`PartialSearch::run_reduced`]). The result carries
+/// `plan.backend` as its tag.
 fn run_reduced(job: &SearchJob, plan: &ExecutionPlan, rng: &mut StdRng) -> SearchResult {
     let partition = Partition::new(job.n, job.k);
     let true_block = partition.block_of(job.target);
@@ -207,30 +214,7 @@ fn run_reduced(job: &SearchJob, plan: &ExecutionPlan, rng: &mut StdRng) -> Searc
         .collect();
     finish(
         job,
-        Backend::Reduced,
-        reported,
-        true_block,
-        run.queries * u64::from(job.trials),
-        run.success_probability,
-    )
-}
-
-/// The ideal sparse runner. The class dynamics are block-symmetric — ideal
-/// evolution never leaves the three-amplitude symmetric representation — so,
-/// exactly as in [`run_reduced`], one evolution serves every trial and the
-/// per-trial block samples draw from the job-seed stream. All deterministic
-/// result fields are therefore bit-identical to the reduced backend's; only
-/// the backend tag differs.
-fn run_sparse(job: &SearchJob, plan: &ExecutionPlan, rng: &mut StdRng) -> SearchResult {
-    let true_block = job.target / (job.n / job.k);
-    let search = PartialSearch::with_epsilon(plan.schedule.plan.epsilon);
-    let run = search.run_sparse(job.n, job.k, job.target);
-    let reported: Vec<u64> = (0..job.trials)
-        .map(|_| sample_symmetric_block(run.success_probability, true_block, job.k, rng))
-        .collect();
-    finish(
-        job,
-        Backend::Sparse,
+        plan.backend,
         reported,
         true_block,
         run.queries * u64::from(job.trials),

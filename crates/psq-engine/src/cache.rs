@@ -79,14 +79,15 @@ pub(crate) struct CacheKey {
 impl CacheKey {
     pub(crate) fn new(job: &SearchJob, backend: Backend) -> Self {
         let target_key = match backend {
-            // One entry serves every target in the block.
-            Backend::Reduced => job.target / (job.n / job.k),
-            // The ideal sparse dynamics are block-symmetric too (the class
-            // evolution and the block sampler only see the block), but noisy
-            // sparse trajectories pin exact addresses on depolarizing
-            // collapses, so they key on the full address like the dense
-            // trajectories do.
-            Backend::Sparse if job.effective_noise().is_none() => job.target / (job.n / job.k),
+            // One entry serves every target in the block: the reduced and
+            // ideal sparse dynamics are block-symmetric (the evolution and
+            // the block sampler only see the block). Noisy sparse
+            // trajectories pin exact addresses on depolarizing collapses, so
+            // they key on the full address like the dense trajectories do;
+            // the planner never sends a noisy job to Reduced.
+            Backend::Reduced | Backend::Sparse if job.effective_noise().is_none() => {
+                job.target / (job.n / job.k)
+            }
             _ => job.target,
         };
         Self {

@@ -370,16 +370,17 @@ impl Shared {
         self.dispatch(router_id);
     }
 
-    /// Sends `pending` an error response and balances its session slot.
+    /// Balances `pending`'s session slot, then sends it an error response
+    /// (settled first, so a client that reads the error sees the slot free).
     fn answer_error(&self, pending: &Pending, kind: ErrorKind, reason: &str) {
+        pending.session.fail();
+        RouterObs::bump(&self.obs.jobs_errored);
         let response = Response::Error {
             id: Some(pending.client_id),
             kind,
             reason: reason.to_string(),
         };
         pending.session.send(response.to_line());
-        pending.session.fail();
-        RouterObs::bump(&self.obs.jobs_errored);
     }
 
     // ----- worker lifecycle ----------------------------------------------
@@ -603,10 +604,13 @@ impl Shared {
                 };
                 match answered {
                     Some(pending) => {
-                        result.job_id = pending.client_id;
-                        pending.session.send(Response::Result(result).to_line());
+                        // Settle the accounting before publishing: a client
+                        // that reads this answer sees its slot free and the
+                        // job counted.
                         pending.session.complete();
                         RouterObs::bump(&self.obs.jobs_completed);
+                        result.job_id = pending.client_id;
+                        pending.session.send(Response::Result(result).to_line());
                         let us = pending.started.elapsed().as_micros() as f64;
                         if pending.attempts == 1 {
                             // Only clean first-attempt completions sample the

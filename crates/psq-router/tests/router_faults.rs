@@ -510,3 +510,104 @@ fn selftest_binary_survives_a_kill_fault() {
         .expect("selftest binary runs");
     assert!(status.success(), "selftest must exit zero");
 }
+
+/// A line nested far deeper than the JSON depth limit is one `parse` error
+/// with no id at the front tier — not a stack overflow that takes the
+/// router down — and the next job is still routed and answered before a
+/// clean shutdown.
+#[test]
+fn deeply_nested_line_is_a_parse_error_not_a_crash() {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+    let job = SearchJob::new(1, 1024, 4, 333).with_backend(psq_engine::BackendHint::Reduced);
+    let input = format!(
+        "{}\n{}\n{{\"cmd\":\"shutdown\"}}\n",
+        "[".repeat(200_000),
+        serde_json::to_string(&job).expect("serialises")
+    );
+    let mut child = Command::new(env!("CARGO_BIN_EXE_psq-router"))
+        .args(["--workers", "1", "--worker-args", "--threads 1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn psq-router");
+    child
+        .stdin
+        .take()
+        .expect("stdin piped")
+        .write_all(input.as_bytes())
+        .expect("write job stream");
+    let output = child.wait_with_output().expect("psq-router runs");
+    assert!(
+        output.status.success(),
+        "clean exit (status {})",
+        output.status
+    );
+    let stdout = String::from_utf8(output.stdout).expect("UTF-8 output");
+    let (mut parse_errors, mut results) = (0, Vec::new());
+    for line in stdout.lines() {
+        match parse_response(line).expect("well-formed output line") {
+            Response::Error {
+                id: None,
+                kind: ErrorKind::Parse,
+                ..
+            } => parse_errors += 1,
+            Response::Result(result) => results.push(result.job_id),
+            Response::Ack { .. } => {}
+            other => panic!("unexpected output line {other:?}"),
+        }
+    }
+    assert_eq!(parse_errors, 1, "the deep line is one id-less parse error");
+    assert_eq!(results, vec![1], "the job after it is answered");
+}
+
+/// The router settles a job's accounting before it publishes the answer:
+/// a client that has just read a result or a worker-side error sees the job
+/// counted and its in-flight slot free — on every round, not most. With a
+/// one-slot client bound, an unreleased slot would turn the next job into
+/// an `overload` error.
+#[test]
+fn every_answered_job_is_counted_before_its_answer_is_read() {
+    let router = Router::start(RouterConfig {
+        max_inflight: 1,
+        ..test_config(1)
+    });
+    let (client, responses) = router.attach();
+    let (mut completed, mut errored) = (0u64, 0u64);
+    for round in 1..=100u64 {
+        let ok = SearchJob::new(round, 1 << 10, 4, round % (1 << 10));
+        // Valid, but no dense state vector fits 2^40 amplitudes: the
+        // worker's planner answers it with a `rejected` error.
+        let refused = SearchJob::new(1000 + round, 1 << 40, 4, round)
+            .with_backend(psq_engine::BackendHint::StateVector);
+        for job in [ok, refused] {
+            client.submit_line(&serde_json::to_string(&job).expect("serialises"));
+            let answer = responses.recv().expect("job answered");
+            match parse_response(&answer).expect("well-formed") {
+                Response::Result(result) => {
+                    assert_eq!(result.job_id, round);
+                    completed += 1;
+                }
+                Response::Error {
+                    id: Some(id),
+                    kind: ErrorKind::Rejected,
+                    ..
+                } => {
+                    assert_eq!(id, 1000 + round);
+                    errored += 1;
+                }
+                other => panic!("round {round}: unexpected answer {other:?}"),
+            }
+            let metrics = router.metrics();
+            assert_eq!(metrics.jobs_completed, completed, "round {round}");
+            assert_eq!(metrics.jobs_errored, errored, "round {round}");
+            let counters = client.session().counters();
+            assert_eq!(counters.completed, completed, "round {round}");
+            assert_eq!(counters.errors, errored, "round {round}");
+        }
+    }
+    assert_eq!((completed, errored), (100, 100));
+    drop(client);
+    router.finish();
+}

@@ -652,3 +652,52 @@ proptest! {
         prop_assert_eq!(back, response);
     }
 }
+
+/// A line nested far deeper than the JSON depth limit is one `parse` error
+/// with no id — not a stack overflow that aborts the process — and the
+/// session keeps serving: the next job is answered and shutdown is clean.
+#[test]
+fn deeply_nested_line_is_a_parse_error_not_a_crash() {
+    use std::process::{Command, Stdio};
+    let job = SearchJob::new(1, 1024, 4, 333).with_backend(psq_engine::BackendHint::Reduced);
+    let input = format!(
+        "{}\n{}\n{{\"cmd\":\"shutdown\"}}\n",
+        "[".repeat(200_000),
+        serde_json::to_string(&job).expect("serialises")
+    );
+    let mut child = Command::new(env!("CARGO_BIN_EXE_psq-serve"))
+        .args(["--threads", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn psq-serve");
+    child
+        .stdin
+        .take()
+        .expect("stdin piped")
+        .write_all(input.as_bytes())
+        .expect("write job stream");
+    let output = child.wait_with_output().expect("psq-serve runs");
+    assert!(
+        output.status.success(),
+        "clean exit (status {})",
+        output.status
+    );
+    let stdout = String::from_utf8(output.stdout).expect("UTF-8 output");
+    let (mut parse_errors, mut results) = (0, Vec::new());
+    for line in stdout.lines() {
+        match parse_response(line).expect("well-formed output line") {
+            Response::Error {
+                id: None,
+                kind: ErrorKind::Parse,
+                ..
+            } => parse_errors += 1,
+            Response::Result(result) => results.push(result.job_id),
+            Response::Ack { .. } => {}
+            other => panic!("unexpected output line {other:?}"),
+        }
+    }
+    assert_eq!(parse_errors, 1, "the deep line is one id-less parse error");
+    assert_eq!(results, vec![1], "the job after it is answered");
+}
